@@ -154,7 +154,7 @@ Status Trainer::RunEpoch(const std::vector<int64_t>& indices) {
   using StepClock = std::chrono::steady_clock;
   const auto observe_step = [](StepClock::time_point t0, bool replayed,
                                bool recorded) {
-    const double ms =
+    [[maybe_unused]] const double ms =
         std::chrono::duration<double, std::milli>(StepClock::now() - t0)
             .count();
     if (replayed) {

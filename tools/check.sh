@@ -4,30 +4,35 @@
 #   2. release preset:    configure + build + kernel equivalence tests
 #      (tier1 tests matching Kernels|Hnsw — the vectorized-vs-reference
 #      suite on the optimized, runtime-dispatched build)
-#   3. asan-ubsan preset: configure + build + ctest -L tier1
-#   4. tsan preset:       configure + build + ctest -L tier1
-#   5. clang-threadsafety preset: clang -Wthread-safety -Werror compile of
+#   3. buildcheck:        release-preset configure + ctest -L buildcheck —
+#      rebuilds the library once per compile-time toggle turned off
+#      (metrics, contracts, lock ranks, program cache) under -Werror, so
+#      a compiled-out configuration that stops compiling fails here
+#   4. asan-ubsan preset: configure + build + ctest -L tier1
+#   5. tsan preset:       configure + build + ctest -L tier1
+#   6. clang-threadsafety preset: clang -Wthread-safety -Werror compile of
 #      the whole tree + ctest -L tier1 — the compile-time locking gate
 #      (skipped with a notice when clang++ is not installed)
-#   6. serving bench smoke: bench_serving in UNIMATCH_BENCH_SMOKE mode —
+#   7. serving bench smoke: bench_serving in UNIMATCH_BENCH_SMOKE mode —
 #      hard-gates request correctness + the under-load snapshot swap,
 #      records (never gates) latency, since runners may be single-core
-#   7. quant bench smoke: bench_quant in UNIMATCH_BENCH_SMOKE mode —
+#   8. quant bench smoke: bench_quant in UNIMATCH_BENCH_SMOKE mode —
 #      hard-gates recall@10 >= 0.95 (int8 flat and IVF-PQ vs the exact
 #      f32 scan) and >= 3x int8 table compression; latency is recorded
 #      in BENCH_quant.json, never gated
-#   8. program bench smoke: bench_program_cache in UNIMATCH_BENCH_SMOKE
+#   9. program bench smoke: bench_program_cache in UNIMATCH_BENCH_SMOKE
 #      mode — hard-gates bitwise tape/replay parity (losses, metrics,
 #      inference embeddings) and a >= 99% steady-state cache hit rate;
 #      step latency and speedup land in BENCH_program.json, never gated
-#   9. batch-exec bench smoke: bench_batch_exec in UNIMATCH_BENCH_SMOKE
+#  10. batch-exec bench smoke: bench_batch_exec in UNIMATCH_BENCH_SMOKE
 #      mode — hard-gates MultiSearch/Search bitwise parity across all six
 #      ANN backends, zero pool acquires per steady-state query, and a
 #      >= 2x batch-32 speedup for the flat and quantized-flat scans;
 #      graph/IVF speedups are recorded warn-only in BENCH_batch_exec.json
 #
-# Usage: tools/check.sh [--jobs N] [--skip-release] [--skip-tsan]
-#                       [--skip-asan] [--skip-threadsafety] [--skip-bench]
+# Usage: tools/check.sh [--jobs N] [--skip-release] [--skip-buildcheck]
+#                       [--skip-tsan] [--skip-asan] [--skip-threadsafety]
+#                       [--skip-bench]
 # Runs from any cwd; exits non-zero on the first failing stage.
 
 set -euo pipefail
@@ -36,6 +41,7 @@ cd "$(dirname "$0")/.."
 
 JOBS="$(nproc 2>/dev/null || echo 2)"
 RUN_RELEASE=1
+RUN_BUILDCHECK=1
 RUN_ASAN=1
 RUN_TSAN=1
 RUN_THREADSAFETY=1
@@ -44,6 +50,7 @@ while [[ $# -gt 0 ]]; do
   case "$1" in
     --jobs) JOBS="$2"; shift 2 ;;
     --skip-release) RUN_RELEASE=0; shift ;;
+    --skip-buildcheck) RUN_BUILDCHECK=0; shift ;;
     --skip-asan) RUN_ASAN=0; shift ;;
     --skip-tsan) RUN_TSAN=0; shift ;;
     --skip-threadsafety) RUN_THREADSAFETY=0; shift ;;
@@ -76,6 +83,16 @@ if [[ "$RUN_RELEASE" == 1 ]]; then
   stage "kernel equivalence tests [release]"
   ctest --test-dir build -L tier1 -R 'Kernels|Hnsw' --output-on-failure \
     -j "$JOBS"
+fi
+
+if [[ "$RUN_BUILDCHECK" == 1 ]]; then
+  stage "configure [release]"
+  cmake --preset release
+  # Each buildcheck runs its own library build in a subdirectory of build/
+  # (the tests are RUN_SERIAL), so only the configure above is needed.
+  # --no-tests=error fails the stage if the label ever matches nothing.
+  stage "ctest -L buildcheck [release]"
+  ctest --test-dir build -L buildcheck --no-tests=error --output-on-failure
 fi
 
 [[ "$RUN_ASAN" == 1 ]] && run_preset asan-ubsan
